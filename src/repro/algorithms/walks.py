@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 
 from repro.core import new_rng, sampling
+from repro.core import random as rnd
 from repro.core.matrix import Matrix
 from repro.device import NULL_CONTEXT, ExecutionContext
 from repro.sparse import INDEX_DTYPE
@@ -132,7 +133,8 @@ def top_k_per_segment(
     """
     if len(segment) == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
-    order = np.lexsort((-score, segment))
+    _, dense_segment = np.unique(segment, return_inverse=True)
+    order = rnd.segmented_argsort(-np.asarray(score), dense_segment)
     seg_sorted = segment[order]
     # Rank of each item within its segment after sorting by -score.
     boundaries = np.flatnonzero(np.diff(seg_sorted)) + 1

@@ -140,6 +140,53 @@ def segmented_uniform_with_replacement(
     return seg_ids, offsets
 
 
+def radix_argsort(ids: np.ndarray) -> np.ndarray:
+    """``np.argsort(ids, kind="stable")`` for non-negative integer ids.
+
+    NumPy radix-sorts only integers of 16 bits or fewer; wider ids get
+    one 16-bit LSD pass per 16 bits of the largest id (one pass below
+    65,536), each an O(n) radix sort, instead of a comparison sort.
+    """
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu":
+        raise TypeError(f"radix_argsort needs integer ids, got {ids.dtype}")
+    passes = 1
+    if len(ids) and ids.dtype.kind == "i" and ids.min() < 0:
+        raise ShapeError("radix_argsort needs non-negative ids")
+    if len(ids) and ids.dtype.itemsize > 2:
+        passes = max(1, -(-int(ids.max()).bit_length() // 16))
+    order = np.argsort(ids.astype(np.uint16, copy=False), kind="stable")
+    for shift in range(16, 16 * passes, 16):
+        digit = (ids[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
+def segmented_argsort(keys: np.ndarray, seg_ids: np.ndarray) -> np.ndarray:
+    """The permutation ``np.lexsort((keys, seg_ids))``, ties included.
+
+    Sorts by segment, then key, then original index, with no two-key
+    comparison sort: one argsort by key, then a :func:`radix_argsort`
+    of that order by segment id.  The key sort uses NumPy's unstable
+    SIMD quicksort and redoes the sort stably only when the keys hold a
+    tie or a NaN, so tied keys keep index order exactly as ``lexsort``
+    does.  ``seg_ids`` must be non-negative integers.
+    """
+    keys = np.asarray(keys)
+    seg_ids = np.asarray(seg_ids)
+    if keys.shape != seg_ids.shape or keys.ndim != 1:
+        raise ShapeError("keys and seg_ids must be 1-D arrays of one length")
+    if len(keys) == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    if np.any(sorted_keys[1:] == sorted_keys[:-1]) or (
+        keys.dtype.kind in "fc" and np.isnan(sorted_keys[-1])
+    ):
+        order = np.argsort(keys, kind="stable")
+    return order[radix_argsort(seg_ids[order])]
+
+
 def segmented_race_select(
     keys: np.ndarray,
     indptr: np.ndarray,
@@ -159,21 +206,24 @@ def segmented_race_select(
     k_arr = np.full(n_seg, k, dtype=np.int64) if np.isscalar(k) else np.asarray(k)
     if len(keys) == 0:
         return np.empty(0, dtype=np.int64)
-    seg_ids = np.repeat(np.arange(n_seg, dtype=np.int64), lengths)
-    order = np.lexsort((keys, seg_ids))
-    sorted_keys = keys[order]
-    # After the sort, each segment still occupies [indptr[i], indptr[i+1]).
-    finite_per_seg = _finite_prefix(sorted_keys, indptr)
-    take = np.minimum(np.minimum(k_arr, lengths), finite_per_seg)
+    # uint16 segment ids skip a conversion and a max() in the radix pass.
+    seg_dtype = np.uint16 if n_seg <= 1 << 16 else np.int64
+    seg_ids = np.repeat(np.arange(n_seg, dtype=seg_dtype), lengths)
+    order = segmented_argsort(keys, seg_ids)
+    # After the sort, each segment still occupies [indptr[i], indptr[i+1])
+    # and holds the same keys, so its finite count needs no sorted copy.
+    take = np.minimum(k_arr, lengths)
+    finite = np.isfinite(keys)
+    if not finite.all():
+        take = np.minimum(take, _segment_counts(finite, indptr))
     from repro.sparse.formats import gather_ranges
 
     picks = gather_ranges(indptr[:-1], take)
     return order[picks]
 
 
-def _finite_prefix(sorted_keys: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per segment, how many leading keys are finite after sorting."""
-    finite = np.isfinite(sorted_keys).astype(np.int64)
-    csum = np.zeros(len(finite) + 1, dtype=np.int64)
-    np.cumsum(finite, out=csum[1:])
+def _segment_counts(mask: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Per indptr segment, how many entries of ``mask`` are set."""
+    csum = np.zeros(len(mask) + 1, dtype=np.int64)
+    np.cumsum(mask, out=csum[1:])
     return csum[indptr[1:]] - csum[indptr[:-1]]

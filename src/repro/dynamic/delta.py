@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.matrix import Matrix, from_edges
+from repro.core.random import radix_argsort
 from repro.device.context import NULL_CONTEXT, ExecutionContext
 from repro.errors import ShapeError
 from repro.sparse.formats import CSC, INDEX_DTYPE, VALUE_DTYPE, as_index_array
@@ -115,8 +116,13 @@ class DeltaGraph:
         self._base_alive = np.ones(csc.nnz, dtype=bool)
         # Delete matching: base edges indexed by the scalar key
         # src * n + dst via one sorted permutation + searchsorted.
-        keys = self._base_src * np.int64(n) + self._base_dst
-        self._base_key_order = np.argsort(keys, kind="stable")
+        # CSC order already sorts by dst, so a stable sort by src alone
+        # is the stable sort by key (duplicate edges in base order).  The
+        # old index is dropped first so the sort's buffers reuse its memory.
+        self._base_key_order = self._base_sorted_keys = None
+        self._base_key_order = radix_argsort(self._base_src)
+        keys = self._base_src * np.int64(n)
+        keys += self._base_dst
         self._base_sorted_keys = keys[self._base_key_order]
         self._degrees = np.diff(csc.indptr).astype(np.int64)
 
@@ -293,7 +299,11 @@ class DeltaGraph:
         storage.
         """
         src, dst, val = self.live_edges()
-        order = np.lexsort((src, dst))
+        # One packed key instead of a two-key lexsort; the stable sort
+        # keeps duplicate edges in live_edges() order.
+        key = dst * np.int64(self.num_nodes)
+        key += src
+        order = np.argsort(key, kind="stable")
         return src[order], dst[order], None if val is None else val[order]
 
     # -- cost model ------------------------------------------------------
@@ -385,6 +395,9 @@ class DeltaGraph:
             layout="csc",
             ctx=NULL_CONTEXT,
         )
+        # Free the sorted edge copies before the base index is built:
+        # this is the high-water mark of a compaction.
+        del src, dst, val
         self._install_base(matrix.get("csc"))
         self._extra_src = []
         self._extra_dst = []

@@ -24,6 +24,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.matrix import from_edges
 from repro.datasets import load_dataset
@@ -129,6 +131,76 @@ class TestDeltaGraph:
         np.testing.assert_array_equal(compacted.rows, fresh.rows)
         np.testing.assert_array_equal(compacted.edge_ids, fresh.edge_ids)
         np.testing.assert_array_equal(compacted.values, fresh.values)
+
+    @given(
+        st.integers(1, 6),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=20),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=20),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_canonical_order_matches_lexsort(
+        self, n, base, inserts, deletes, weighted
+    ):
+        # Duplicate edges in the base and the insert buffer, deletes
+        # that hit either: the packed-key sort must give lexsort's
+        # (dst, src, live_edges position) order, and compact() must stay
+        # array-identical to a rebuild from that order.
+        base = [(u % n, v % n) for u, v in base]
+        src = np.array([u for u, _ in base], dtype=np.int64)
+        dst = np.array([v for _, v in base], dtype=np.int64)
+        weights = (
+            np.arange(1, len(base) + 1, dtype=np.float32) if weighted else None
+        )
+        base_csc = from_edges(src, dst, n, weights=weights, layout="csc")
+        delta = DeltaGraph(base_csc)
+        if inserts:
+            ins = np.array(inserts, dtype=np.int64) % n
+            delta.insert_edges(
+                ins[:, 0], ins[:, 1], weights=np.linspace(0.5, 2.0, len(ins))
+            )
+        if deletes:
+            dels = np.array(deletes, dtype=np.int64) % n
+            delta.delete_edges(dels[:, 0], dels[:, 1])
+            # Each delete tombstones the earliest live base edge (in CSC
+            # position), else the earliest live insert: the snapshot's
+            # surviving edge ids say which duplicates went.
+            csc = base_csc.get("csc")
+            edges = list(zip(csc.rows.tolist(), csc.expand_cols().tolist()))
+            edges += [(u % n, v % n) for u, v in inserts]
+            ids = list(range(len(edges)))
+            for u, v in dels.tolist():
+                hit = next((i for i in ids if edges[i] == (u, v)), None)
+                if hit is not None:
+                    ids.remove(hit)
+            np.testing.assert_array_equal(
+                np.sort(delta.snapshot().get("csc").edge_ids), ids
+            )
+        live_src, live_dst, live_val = delta.live_edges()
+        order = np.lexsort((live_src, live_dst))
+        c_src, c_dst, c_val = delta.canonical_edges()
+        np.testing.assert_array_equal(c_src, live_src[order])
+        np.testing.assert_array_equal(c_dst, live_dst[order])
+        if weighted:
+            np.testing.assert_array_equal(c_val, live_val[order])
+        else:
+            assert c_val is None
+        rebuilt = from_edges(
+            live_src[order],
+            live_dst[order],
+            n,
+            weights=None if live_val is None else live_val[order],
+            layout="csc",
+        ).get("csc")
+        compacted = delta.compact().get("csc")
+        np.testing.assert_array_equal(compacted.indptr, rebuilt.indptr)
+        np.testing.assert_array_equal(compacted.rows, rebuilt.rows)
+        np.testing.assert_array_equal(compacted.edge_ids, rebuilt.edge_ids)
+        if weighted:
+            np.testing.assert_array_equal(compacted.values, rebuilt.values)
+        else:
+            assert compacted.values is None
 
     def test_compact_resets_delta_state(self):
         delta = DeltaGraph(_toy_graph())

@@ -127,6 +127,48 @@ class TestTopKPerSegment:
         out = top_k_per_segment(np.array([]), np.array([]), 3)
         assert len(out) == 0
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2**40),
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan]),
+                    st.floats(allow_nan=True, allow_infinity=True),
+                ),
+            ),
+            max_size=60,
+        ),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_lexsort_oracle(self, items, k):
+        items.sort(key=lambda p: p[0])
+        seg = np.array([p[0] for p in items], dtype=np.int64)
+        score = np.array([p[1] for p in items], dtype=np.float64)
+        np.testing.assert_array_equal(
+            top_k_per_segment(seg, score, k), _top_k_oracle(seg, score, k)
+        )
+
+    def test_matches_oracle_past_65536_segments(self):
+        rng = np.random.default_rng(3)
+        seg = np.sort(rng.integers(0, 200_000, size=300_000))
+        score = rng.integers(0, 8, size=seg.size).astype(np.float64)
+        np.testing.assert_array_equal(
+            top_k_per_segment(seg, score, 2), _top_k_oracle(seg, score, 2)
+        )
+
+
+def _top_k_oracle(segment, score, k):
+    """The two-key ``lexsort`` top-k: rank by -score inside each segment."""
+    if len(segment) == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.lexsort((-score, segment))
+    seg_sorted = segment[order]
+    starts = np.flatnonzero(np.r_[True, seg_sorted[1:] != seg_sorted[:-1]])
+    sizes = np.diff(np.r_[starts, len(order)])
+    rank = np.arange(len(order)) - np.repeat(starts, sizes)
+    return order[rank < k]
+
 
 class TestInduceSubgraph:
     def test_matches_dense_oracle(self, small_graph):
